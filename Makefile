@@ -6,7 +6,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # Persistent-cache database directory for `make fsck` (override: make fsck DB=...)
 DB ?= /tmp/pcc-db
 
-.PHONY: test faultinject benchmarks bench-wallclock fsck stress gc replay-smoke prewarm-smoke daemon-smoke transparency-smoke
+.PHONY: test faultinject benchmarks bench-wallclock fsck stress gc replay-smoke prewarm-smoke daemon-smoke transparency-smoke perfbench-test
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -17,6 +17,11 @@ faultinject:
 
 benchmarks:
 	$(PYTHON) -m pytest -q benchmarks
+
+# Self-tests of the fork-per-launch benchmark harness (perfbench/README.md):
+# tail rule, aggregation, span arithmetic and failure accounting.
+perfbench-test:
+	$(PYTHON) -m pytest -q perfbench
 
 # Wall-clock dispatch-tier suite (docs/performance.md).  Writes
 # BENCH_wallclock.json at the repo root; fails if compiled dispatch is

@@ -185,9 +185,6 @@ class Machine:
         self.threads.append(thread)
         return thread
 
-    def runnable_threads(self) -> List[Thread]:
-        return [thread for thread in self.threads if thread.alive]
-
     def switch_to(self, thread: Thread) -> None:
         self.registers = thread.registers
         self.current_thread = self.threads.index(thread)
@@ -606,10 +603,6 @@ class RunResult:
     instructions: int
     output: bytes
     syscall_counts: Dict[str, int]
-
-    @property
-    def exited_cleanly(self) -> bool:
-        return True
 
 
 class Interpreter:

@@ -12,27 +12,10 @@ The file holds two pools, mirroring the in-memory separation (§3.2.2):
   same byte sizes the in-memory translator accounts, so Figure 9's
   code-vs-data comparison measures real file bytes.
 
-Format version 2 frames the file as four independently checksummed
-sections so damage is localized and reported precisely (see
-``docs/cache-format.md``):
-
-```
-offset  size  field
-0       4     magic "PCC2"
-4       2     u16 format_version
-6       2     u16 feature_flags
-8       4     u32 header_len
-12      4     u32 CRC-32 of the header JSON
-16      n     header JSON (keys, metadata, section table)
-16+n    d     trace-directory JSON
-...           code pool
-...           data pool
-end-4   4     u32 CRC-32 of bytes [0, end-4)   (whole-file check)
-```
-
-The header's section table records ``[size, crc32]`` for the directory,
-code pool and data pool; sections are laid out in that order immediately
-after the header.  Any mismatch raises :class:`CacheFileError` whose
+Format version 2 is a sectioned-CRC frame (:mod:`repro.persist.frame`,
+``docs/cache-format.md``) with magic ``PCC2``, feature flags, and three
+sections after the header: the trace-directory JSON, the code pool and
+the data pool.  Any mismatch raises :class:`CacheFileError` whose
 ``section`` attribute names the damaged section — the database layer uses
 it to quarantine the file and report where the damage was.
 
@@ -44,10 +27,17 @@ from __future__ import annotations
 
 import json
 import struct
-import zlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.persist.frame import (
+    PREAMBLE,
+    FrameError,
+    load_json,
+    pack_sectioned,
+    unpack_sectioned,
+    verify,
+)
 from repro.persist.keys import MappingKey
 from repro.persist.storage import DEFAULT_STORAGE, FileStorage
 
@@ -57,10 +47,6 @@ MAGIC = b"PCC2"
 #: (quarantine + JIT-only run) instead of a generic bad-magic error.
 LEGACY_MAGIC = b"PCC1"
 FORMAT_VERSION = 2
-
-#: Fixed-size binary preamble: magic, version, feature flags, header
-#: length, header CRC.
-PREAMBLE = struct.Struct("<4sHHII")
 
 #: Feature-flag bits.  A reader must reject a file carrying any flag bit
 #: it does not understand: flags mark format extensions that change how
@@ -81,17 +67,9 @@ ADDR_TABLE_BYTES = 8
 LINK_RECORD_BYTES = 56
 
 
-class CacheFileError(Exception):
-    """Raised when a persistent cache file is malformed.
-
-    ``section`` names where the damage was detected: one of
-    :data:`SECTIONS`, ``"preamble"`` or ``"trailer"`` (framing damage),
-    or ``""`` when no section can be attributed.
-    """
-
-    def __init__(self, message: str, section: str = ""):
-        super().__init__(message)
-        self.section = section
+class CacheFileError(FrameError):
+    """Raised when a persistent cache file is malformed; ``section`` is
+    one of :data:`SECTIONS`, ``"preamble"`` or ``"trailer"``."""
 
 
 #: Successful-parse memo keyed on the exact file bytes (see
@@ -99,10 +77,6 @@ class CacheFileError(Exception):
 #: hits return detached copies.
 _PARSE_MEMO: dict = {}
 _PARSE_MEMO_CAP = 64
-
-
-def _crc(blob: bytes) -> int:
-    return zlib.crc32(blob) & 0xFFFFFFFF
 
 
 @dataclass
@@ -219,116 +193,10 @@ class PersistedTrace:
         }
 
 
-@dataclass
-class _Frame:
-    """The parsed and checksum-verified sections of a cache file."""
-
-    feature_flags: int
-    header: dict
-    directory: list
-    code_pool: bytes
-    data_pool: bytes
-
-
-def _parse_frame(blob: bytes) -> _Frame:
-    """Split ``blob`` into verified sections, attributing any damage."""
-    if len(blob) < PREAMBLE.size + 4:
-        raise CacheFileError("file too short for preamble", section="preamble")
-    magic = blob[:4]
-    if magic != MAGIC:
-        if magic == LEGACY_MAGIC:
-            raise CacheFileError(
-                "unsupported format version 1 (legacy PCC1 file)",
-                section="header",
-            )
-        raise CacheFileError("bad magic", section="preamble")
-    _, version, flags, header_len, header_crc = PREAMBLE.unpack_from(blob, 0)
-    if version != FORMAT_VERSION:
-        raise CacheFileError(
-            "unsupported format version %r" % version, section="header"
-        )
-    if flags & ~SUPPORTED_FEATURES:
-        raise CacheFileError(
-            "unsupported feature flags 0x%04x" % (flags & ~SUPPORTED_FEATURES),
-            section="header",
-        )
-
-    # Whole-file trailer first for a quick integrity gate?  No: section
-    # checks run first so a single flipped byte is attributed to the
-    # section holding it, not to an anonymous whole-file mismatch.
-    header_start = PREAMBLE.size
-    header_end = header_start + header_len
-    if header_end + 4 > len(blob):
-        raise CacheFileError("truncated header", section="header")
-    header_blob = blob[header_start:header_end]
-    if _crc(header_blob) != header_crc:
-        raise CacheFileError("header checksum mismatch", section="header")
-    try:
-        header = json.loads(header_blob)
-    except ValueError as exc:
-        raise CacheFileError("bad header JSON", section="header") from exc
-    if not isinstance(header, dict):
-        raise CacheFileError("bad header JSON", section="header")
-
-    sections = header.get("sections")
-    if not isinstance(sections, dict):
-        raise CacheFileError("missing section table", section="header")
-    offset = header_end
-    payloads: Dict[str, bytes] = {}
-    for name in ("directory", "code_pool", "data_pool"):
-        try:
-            size, crc = sections[name]
-            size = int(size)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CacheFileError(
-                "bad section table entry for %s" % name, section="header"
-            ) from exc
-        if size < 0 or offset + size + 4 > len(blob):
-            raise CacheFileError("truncated %s section" % name, section=name)
-        payload = blob[offset : offset + size]
-        if _crc(payload) != crc:
-            raise CacheFileError("%s checksum mismatch" % name, section=name)
-        payloads[name] = payload
-        offset += size
-    if offset != len(blob) - 4:
-        raise CacheFileError("trailing garbage after data pool", section="trailer")
-    (file_crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
-    if _crc(blob[:-4]) != file_crc:
-        raise CacheFileError("whole-file checksum mismatch", section="trailer")
-
-    try:
-        directory = json.loads(payloads["directory"])
-    except ValueError as exc:
-        raise CacheFileError("bad directory JSON", section="directory") from exc
-    if not isinstance(directory, list):
-        raise CacheFileError("bad directory JSON", section="directory")
-    return _Frame(
-        feature_flags=flags,
-        header=header,
-        directory=directory,
-        code_pool=payloads["code_pool"],
-        data_pool=payloads["data_pool"],
-    )
-
-
 def verify_sections(blob: bytes) -> Dict[str, str]:
-    """Best-effort per-section status of a raw cache blob, for fsck.
-
-    Returns ``{section: ""}`` for healthy sections and ``{section:
-    reason}`` for damaged ones; framing damage appears under
-    ``"preamble"``/``"trailer"``.
-    """
-    status: Dict[str, str] = {}
-    try:
-        _parse_frame(blob)
-    except CacheFileError as exc:
-        status[exc.section or "preamble"] = str(exc)
-    else:
-        try:
-            PersistentCache.from_bytes(blob)
-        except CacheFileError as exc:
-            status[exc.section or "directory"] = str(exc)
-    return status
+    """Per-section damage map of a raw cache blob (fsck); empty when
+    healthy, framing damage under ``"preamble"``/``"trailer"``."""
+    return verify(PersistentCache.from_bytes, blob)
 
 
 @dataclass
@@ -410,9 +278,6 @@ class PersistentCache:
             code_pool.extend(trace.code)
             data_pool.extend(trace.build_data_blob())
             directory.append(trace.to_json(code_offset, data_offset))
-        directory_blob = json.dumps(directory, sort_keys=True).encode()
-        code_blob = bytes(code_pool)
-        data_blob = bytes(data_pool)
         header = {
             "format_version": FORMAT_VERSION,
             "vm_version": self.vm_version,
@@ -422,29 +287,13 @@ class PersistentCache:
             "image_keys": {
                 path: key.to_json() for path, key in self.image_keys.items()
             },
-            "sections": {
-                "directory": [len(directory_blob), _crc(directory_blob)],
-                "code_pool": [len(code_blob), _crc(code_blob)],
-                "data_pool": [len(data_blob), _crc(data_blob)],
-            },
         }
-        header_blob = json.dumps(header, sort_keys=True).encode()
-        body = b"".join(
-            [
-                PREAMBLE.pack(
-                    MAGIC,
-                    FORMAT_VERSION,
-                    self.feature_flags & 0xFFFF,
-                    len(header_blob),
-                    _crc(header_blob),
-                ),
-                header_blob,
-                directory_blob,
-                code_blob,
-                data_blob,
-            ]
-        )
-        return body + struct.pack("<I", _crc(body))
+        return pack_sectioned(MAGIC, FORMAT_VERSION, self.feature_flags,
+                              header, [
+            ("directory", json.dumps(directory, sort_keys=True).encode()),
+            ("code_pool", code_pool),
+            ("data_pool", data_pool),
+        ])
 
     def _detached_copy(self) -> "PersistentCache":
         """A container copy sharing the (never-mutated-in-place) records.
@@ -476,15 +325,24 @@ class PersistentCache:
         template = _PARSE_MEMO.get(blob)
         if template is not None:
             return template._detached_copy()
-        frame = _parse_frame(blob)
-        header = frame.header
+        if len(blob) >= PREAMBLE.size + 4 and blob[:4] == LEGACY_MAGIC:
+            raise CacheFileError(
+                "unsupported format version 1 (legacy PCC1 file)",
+                section="header",
+            )
+        flags, header, payloads = unpack_sectioned(
+            blob, MAGIC, FORMAT_VERSION, SECTIONS[1:], CacheFileError,
+            SUPPORTED_FEATURES,
+        )
+        directory = load_json(payloads["directory"], "directory", list,
+                              CacheFileError)
         try:
             cache = cls(
                 vm_version=header["vm_version"],
                 tool_identity=header["tool_identity"],
                 app_path=header["app_path"],
                 generation=header.get("generation", 0),
-                feature_flags=frame.feature_flags,
+                feature_flags=flags,
             )
             cache.image_keys = {
                 path: MappingKey.from_json(data)
@@ -495,10 +353,10 @@ class PersistentCache:
                 "malformed header fields: %s" % exc, section="header"
             ) from exc
 
-        code_pool = frame.code_pool
-        data_pool = frame.data_pool
+        code_pool = payloads["code_pool"]
+        data_pool = payloads["data_pool"]
         try:
-            for record in frame.directory:
+            for record in directory:
                 if (
                     record["code_offset"] < 0
                     or record["code_size"] < 0

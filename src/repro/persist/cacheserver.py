@@ -51,10 +51,10 @@ requests and responses::
                                              stamp, cost_us], ...]}
     4+h     p     body pool (concatenated blobs the records index)
 
-Directory records reuse the PCSS1 record shape: four-element records
-(written before compile costs were tracked) parse with cost 0, exactly
-like :func:`repro.persist.sharedstore.parse_shard`.  A reader rejects a
-frame on any magic/version/reserved/CRC/bounds mismatch — one
+Directory records are the PCSS1 body rows, packed and parsed by the same
+codec (:func:`repro.persist.frame.pack_body_rows`): four-element records
+(written before compile costs were tracked) parse with cost 0.  A reader
+rejects a frame on any magic/version/reserved/CRC/bounds mismatch — one
 detectable failure per flipped byte — and the connection is torn down
 rather than resynchronized (the client falls back to the flock store).
 
@@ -79,14 +79,18 @@ import socket
 import struct
 import threading
 import time
-import zlib
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
-from repro.persist.sharedstore import (
-    SharedBodyStore,
-    shard_prefix,
+from repro.persist.frame import (
+    PREAMBLE,
+    FrameError,
+    crc32,
+    load_json,
+    pack_body_rows,
+    unpack_body_rows,
 )
+from repro.persist.sharedstore import SharedBodyStore
 from repro.persist.storage import FileStorage
 
 FRAME_MAGIC = b"PCSD"
@@ -95,7 +99,7 @@ PROTOCOL_VERSION = 1
 #: Same preamble shape as PCSS1/PCS1/PCC2: magic, version, reserved,
 #: then (payload length, payload CRC) instead of the file formats'
 #: (header length, header CRC) — a frame is one self-contained payload.
-FRAME_PREAMBLE = struct.Struct("<4sHHII")
+FRAME_PREAMBLE = PREAMBLE
 
 #: Upper bound on one frame's payload: far above any real publish batch
 #: (whole warm pools are a few MiB) but small enough that a garbage
@@ -111,20 +115,9 @@ SOCKET_NAME = "daemon.sock"
 DEFAULT_FLUSH_INTERVAL_S = 2.0
 
 
-class DaemonProtocolError(Exception):
-    """Raised when a PCSD frame is malformed.
-
-    ``section`` names where the damage was detected: ``"preamble"``,
-    ``"payload"``, ``"header"`` or ``"records"``.
-    """
-
-    def __init__(self, message: str, section: str = ""):
-        super().__init__(message)
-        self.section = section
-
-
-def _crc(blob: bytes) -> int:
-    return zlib.crc32(blob) & 0xFFFFFFFF
+class DaemonProtocolError(FrameError):
+    """Raised when a PCSD frame is malformed; ``section`` is
+    ``"preamble"``, ``"payload"``, ``"header"`` or ``"records"``."""
 
 
 # -- frame serialization ------------------------------------------------------
@@ -138,25 +131,41 @@ def pack_frame(
     """Serialize one message: op + meta + ``{digest: (blob, stamp[,
     cost_us])}`` → framed bytes.  Two-tuple values pack with cost 0,
     mirroring :func:`repro.persist.sharedstore.pack_shard`."""
-    pool = bytearray()
-    records = []
-    for digest in sorted(entries or {}):
-        record = entries[digest]
-        blob, stamp = record[0], record[1]
-        cost_us = int(record[2]) if len(record) > 2 else 0
-        records.append([digest, len(pool), len(blob), int(stamp), cost_us])
-        pool.extend(blob)
+    records, pool = pack_body_rows(entries or {})
     header = {"op": op, "meta": meta or {}, "records": records}
     header_blob = json.dumps(header, sort_keys=True).encode()
     payload = b"".join(
-        [struct.pack("<I", len(header_blob)), header_blob, bytes(pool)]
+        [struct.pack("<I", len(header_blob)), header_blob, pool]
     )
     return (
         FRAME_PREAMBLE.pack(
-            FRAME_MAGIC, PROTOCOL_VERSION, 0, len(payload), _crc(payload)
+            FRAME_MAGIC, PROTOCOL_VERSION, 0, len(payload), crc32(payload)
         )
         + payload
     )
+
+
+def _check_preamble(blob: bytes) -> Tuple[int, int]:
+    """Validate a frame preamble; returns ``(payload_len, payload_crc)``.
+
+    Runs before the payload length is trusted, so a garbage stream can
+    neither pass as a frame nor make a reader wait on (or allocate) a
+    fictitious multi-megabyte body.
+    """
+    magic, version, reserved, payload_len, payload_crc = (
+        FRAME_PREAMBLE.unpack_from(blob, 0)
+    )
+    if magic != FRAME_MAGIC:
+        raise DaemonProtocolError("bad magic", section="preamble")
+    if version != PROTOCOL_VERSION:
+        raise DaemonProtocolError(
+            "unsupported protocol version %r" % version, section="preamble"
+        )
+    if reserved != 0:
+        raise DaemonProtocolError("bad reserved field", section="preamble")
+    if payload_len > MAX_PAYLOAD_BYTES:
+        raise DaemonProtocolError("oversized payload", section="preamble")
+    return payload_len, payload_crc
 
 
 def parse_frame(blob: bytes):
@@ -171,23 +180,11 @@ def parse_frame(blob: bytes):
         raise DaemonProtocolError(
             "frame too short for preamble", section="preamble"
         )
-    magic, version, reserved, payload_len, payload_crc = (
-        FRAME_PREAMBLE.unpack_from(blob, 0)
-    )
-    if magic != FRAME_MAGIC:
-        raise DaemonProtocolError("bad magic", section="preamble")
-    if version != PROTOCOL_VERSION:
-        raise DaemonProtocolError(
-            "unsupported protocol version %r" % version, section="preamble"
-        )
-    if reserved != 0:
-        raise DaemonProtocolError("bad reserved field", section="preamble")
-    if payload_len > MAX_PAYLOAD_BYTES:
-        raise DaemonProtocolError("oversized payload", section="preamble")
+    payload_len, payload_crc = _check_preamble(blob)
     if len(blob) != FRAME_PREAMBLE.size + payload_len:
         raise DaemonProtocolError("truncated frame", section="payload")
     payload = blob[FRAME_PREAMBLE.size:]
-    if _crc(payload) != payload_crc:
+    if crc32(payload) != payload_crc:
         raise DaemonProtocolError("payload checksum mismatch",
                                   section="payload")
     if len(payload) < 4:
@@ -195,13 +192,8 @@ def parse_frame(blob: bytes):
     (header_len,) = struct.unpack_from("<I", payload, 0)
     if 4 + header_len > len(payload):
         raise DaemonProtocolError("truncated header", section="header")
-    try:
-        header = json.loads(payload[4 : 4 + header_len])
-    except ValueError as exc:
-        raise DaemonProtocolError("bad header JSON",
-                                  section="header") from exc
-    if not isinstance(header, dict):
-        raise DaemonProtocolError("bad header JSON", section="header")
+    header = load_json(payload[4 : 4 + header_len], "header", dict,
+                       DaemonProtocolError)
     op = header.get("op")
     meta = header.get("meta", {})
     records = header.get("records", [])
@@ -210,62 +202,23 @@ def parse_frame(blob: bytes):
     ):
         raise DaemonProtocolError("malformed header fields",
                                   section="header")
-    pool = payload[4 + header_len:]
-    entries: Dict[str, Tuple[bytes, int, int]] = {}
-    try:
-        for record in records:
-            if len(record) == 4:
-                digest, offset, size, stamp = record
-                cost_us = 0
-            else:
-                digest, offset, size, stamp, cost_us = record
-            if (
-                not isinstance(digest, str)
-                or offset < 0
-                or size < 0
-                or offset + size > len(pool)
-            ):
-                raise DaemonProtocolError(
-                    "record out of bounds", section="records"
-                )
-            entries[digest] = (
-                pool[offset : offset + size], int(stamp), int(cost_us)
-            )
-    except DaemonProtocolError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise DaemonProtocolError(
-            "malformed records: %s" % exc, section="records"
-        ) from exc
+    entries = unpack_body_rows(records, payload[4 + header_len:], "records",
+                               DaemonProtocolError)
     return op, meta, entries
 
 
 def read_frame(sock: socket.socket) -> Optional[bytes]:
     """Read one complete frame off ``sock``; None on clean EOF.
 
-    The preamble is validated *before* the payload length is trusted,
-    so a garbage stream cannot make the reader wait on a fictitious
-    multi-megabyte body.  A connection that dies mid-frame raises
-    :class:`DaemonProtocolError` — the stream cannot be resynchronized.
+    The preamble is validated before the payload is read.  A connection
+    that dies mid-frame raises :class:`DaemonProtocolError` — the stream
+    cannot be resynchronized.
     """
     preamble = _recv_exact(sock, FRAME_PREAMBLE.size, allow_eof=True)
     if preamble is None:
         return None
-    magic, version, reserved, payload_len, _crc32 = (
-        FRAME_PREAMBLE.unpack_from(preamble, 0)
-    )
-    if magic != FRAME_MAGIC:
-        raise DaemonProtocolError("bad magic", section="preamble")
-    if version != PROTOCOL_VERSION:
-        raise DaemonProtocolError(
-            "unsupported protocol version %r" % version, section="preamble"
-        )
-    if reserved != 0:
-        raise DaemonProtocolError("bad reserved field", section="preamble")
-    if payload_len > MAX_PAYLOAD_BYTES:
-        raise DaemonProtocolError("oversized payload", section="preamble")
-    payload = _recv_exact(sock, payload_len)
-    return preamble + payload
+    payload_len, _payload_crc = _check_preamble(preamble)
+    return preamble + _recv_exact(sock, payload_len)
 
 
 def _recv_exact(sock, size, allow_eof=False):

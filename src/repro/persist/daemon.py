@@ -340,14 +340,6 @@ class DaemonBackedStore:
         except DaemonError:
             return None
 
-    def flush_daemon(self) -> bool:
-        """Ask the daemon to write its dirty tail back now."""
-        try:
-            self._client.request("flush")
-            return True
-        except DaemonError:
-            return False
-
     def close(self) -> None:
         self._client.close()
 

@@ -47,7 +47,6 @@ from repro.persist.sidecar import (
     CompiledBodyStore,
     SIDECAR_NAME,
     SidecarError,
-    sidecar_staleness,
     verify_sidecar,
 )
 from repro.persist.storage import FileStorage, TMP_SUFFIX
@@ -181,21 +180,13 @@ class CacheDatabase:
 
     def _quarantine(self, filename: str, reason: str) -> None:
         """Move a damaged file aside — never delete possible evidence."""
-        source = os.path.join(self.directory, filename)
-        quarantine_dir = os.path.join(self.directory, QUARANTINE_DIR)
+        # ``filename`` may live in a subdirectory (replay logs): it is
+        # mirrored under quarantine/.
         try:
-            destination = os.path.join(quarantine_dir, filename)
-            # ``filename`` may live in a subdirectory (replay logs):
-            # mirror it under quarantine/ so the move always has a home.
-            self.storage.makedirs(os.path.dirname(destination))
-            serial = 0
-            while self.storage.exists(destination):
-                serial += 1
-                destination = os.path.join(
-                    quarantine_dir, "%s.%d" % (filename, serial)
-                )
-            if self.storage.exists(source):
-                self.storage.rename(source, destination)
+            self.storage.move_aside(
+                os.path.join(self.directory, filename),
+                os.path.join(self.directory, QUARANTINE_DIR, filename),
+            )
         except OSError as exc:
             # Quarantine is best-effort: a failing move must not turn a
             # contained corruption into a crash.
@@ -520,29 +511,17 @@ class CacheDatabase:
         indexed = set()
         for entry in list(self._entries):
             indexed.add(entry.filename)
-            path = os.path.join(self.directory, entry.filename)
-            if not self.storage.exists(path):
+            if not self.storage.exists(
+                os.path.join(self.directory, entry.filename)
+            ):
                 report.items.append(FsckItem(entry.filename, "missing"))
                 continue
-            try:
-                blob = self.storage.read_bytes(path)
-            except OSError as exc:
-                report.items.append(
-                    FsckItem(entry.filename, "corrupt", detail=str(exc))
-                )
-                continue
-            damage = verify_sections(blob)
-            if not damage:
+            if self._fsck_file(
+                report, entry.filename, verify_sections, quarantine
+            ) is not None:
                 report.items.append(FsckItem(entry.filename, "ok"))
-                continue
-            for section, reason in sorted(damage.items()):
-                report.items.append(
-                    FsckItem(entry.filename, "corrupt", section, reason)
-                )
-            if quarantine:
-                self._quarantine(entry.filename, "fsck: %s" % damage)
+            elif entry.filename in report.quarantined:
                 self._drop_entry(entry)
-                report.quarantined.append(entry.filename)
         for filename in self.storage.listdir(self.directory):
             path = os.path.join(self.directory, filename)
             if filename in indexed or os.path.isdir(path):
@@ -550,18 +529,38 @@ class CacheDatabase:
             if filename in (INDEX_NAME, LOCK_NAME, SIDECAR_NAME):
                 continue
             if filename.endswith(TMP_SUFFIX):
-                report.items.append(
-                    FsckItem(
-                        filename,
-                        "stale-tmp",
-                        detail="leftover from an interrupted atomic write",
-                    )
-                )
+                report.items.append(_stale_tmp(filename))
             elif filename.endswith(".cache"):
                 report.items.append(
                     FsckItem(filename, "orphan", detail="not in the index")
                 )
         return report
+
+    def _fsck_file(self, report: FsckReport, filename: str, verify,
+                   quarantine: bool) -> Optional[bytes]:
+        """Read one database file and run ``verify`` over it for fsck.
+
+        Returns the blob when it is sound (the caller decides what
+        "ok" means for it); otherwise reports every damaged section (or
+        the read error), quarantines the file when asked, and returns
+        None.
+        """
+        try:
+            blob = self.storage.read_bytes(
+                os.path.join(self.directory, filename)
+            )
+        except OSError as exc:
+            report.items.append(FsckItem(filename, "corrupt", detail=str(exc)))
+            return None
+        damage = verify(blob)
+        if not damage:
+            return blob
+        for section, reason in sorted(damage.items()):
+            report.items.append(FsckItem(filename, "corrupt", section, reason))
+        if quarantine:
+            self._quarantine(filename, "fsck: %s" % damage)
+            report.quarantined.append(filename)
+        return None
 
     def _fsck_replay_logs(self, report: FsckReport, quarantine: bool) -> None:
         """Health-check every recorded replay log for :meth:`fsck`."""
@@ -572,36 +571,12 @@ class CacheDatabase:
             return
         for name in self.storage.listdir(directory):
             label = "%s/%s" % (REPLAY_DIR, name)
-            path = os.path.join(directory, name)
             if name.endswith(TMP_SUFFIX):
-                report.items.append(
-                    FsckItem(
-                        label,
-                        "stale-tmp",
-                        detail="leftover from an interrupted atomic write",
-                    )
-                )
-                continue
-            if not name.endswith(REPLAY_LOG_SUFFIX):
-                continue
-            try:
-                blob = self.storage.read_bytes(path)
-            except OSError as exc:
-                report.items.append(
-                    FsckItem(label, "corrupt", detail=str(exc))
-                )
-                continue
-            damage = verify_replay_log(blob)
-            if not damage:
+                report.items.append(_stale_tmp(label))
+            elif name.endswith(REPLAY_LOG_SUFFIX) and self._fsck_file(
+                report, label, verify_replay_log, quarantine
+            ) is not None:
                 report.items.append(FsckItem(label, "ok"))
-                continue
-            for section, reason in sorted(damage.items()):
-                report.items.append(
-                    FsckItem(label, "corrupt", section, reason)
-                )
-            if quarantine:
-                self._quarantine(label, "fsck: %s" % damage)
-                report.quarantined.append(label)
 
     def _fsck_sidecar(
         self,
@@ -610,25 +585,11 @@ class CacheDatabase:
         vm_version: Optional[str],
     ) -> None:
         """Health-check the compiled-body sidecar for :meth:`fsck`."""
-        path = self._sidecar_path()
-        if not self.storage.exists(path):
+        if not self.storage.exists(self._sidecar_path()):
             return
-        try:
-            blob = self.storage.read_bytes(path)
-        except OSError as exc:
-            report.items.append(
-                FsckItem(SIDECAR_NAME, "corrupt", detail=str(exc))
-            )
-            return
-        damage = verify_sidecar(blob)
-        if damage:
-            for section, reason in sorted(damage.items()):
-                report.items.append(
-                    FsckItem(SIDECAR_NAME, "corrupt", section, reason)
-                )
-            if quarantine:
-                self._quarantine(SIDECAR_NAME, "fsck: %s" % damage)
-                report.quarantined.append(SIDECAR_NAME)
+        blob = self._fsck_file(report, SIDECAR_NAME, verify_sidecar,
+                               quarantine)
+        if blob is None:
             return
         if vm_version is None:
             # Layering note: persist/ never imports vm/ at module scope;
@@ -636,7 +597,8 @@ class CacheDatabase:
             from repro.vm.engine import VM_VERSION
 
             vm_version = VM_VERSION
-        stale = sidecar_staleness(blob, vm_version)
+        store = CompiledBodyStore.from_bytes(blob)
+        stale = store.staleness(vm_version)
         if stale is not None:
             # Stale entries are unreachable as a whole (wholesale
             # invalidation), not damaged: note, never quarantine — the
@@ -644,19 +606,23 @@ class CacheDatabase:
             report.notes.append(
                 FsckItem(SIDECAR_NAME, "stale-vm", detail=stale)
             )
-            return
-        if not self._entries:
-            store = CompiledBodyStore.from_bytes(blob)
-            if len(store):
-                report.notes.append(
-                    FsckItem(
-                        SIDECAR_NAME,
-                        "orphan",
-                        detail=(
-                            "%d compiled bodies but no indexed caches to"
-                            " revive them for" % len(store)
-                        ),
-                    )
+        elif not self._entries and len(store):
+            report.notes.append(
+                FsckItem(
+                    SIDECAR_NAME,
+                    "orphan",
+                    detail=(
+                        "%d compiled bodies but no indexed caches to"
+                        " revive them for" % len(store)
+                    ),
                 )
-                return
-        report.items.append(FsckItem(SIDECAR_NAME, "ok"))
+            )
+        else:
+            report.items.append(FsckItem(SIDECAR_NAME, "ok"))
+
+
+def _stale_tmp(filename: str) -> FsckItem:
+    return FsckItem(
+        filename, "stale-tmp",
+        detail="leftover from an interrupted atomic write",
+    )

@@ -49,9 +49,8 @@ On-disk layout::
       bodies/<keytag>/<pp>.pcs.lock
       quarantine/              # damaged shards, moved aside (never deleted)
 
-Shard file framing (PCSS1) mirrors the sidecar's PCS1 discipline — a
-fixed preamble, CRC-checked header JSON, per-section CRCs and a
-whole-file trailer CRC — with one extension: each directory record
+Shard files (PCSS1) use the sectioned-CRC frame of the sidecar's PCS1
+(:mod:`repro.persist.frame`) with one extension: each directory record
 carries a last-use stamp and the measured host-compile cost
 (``[digest, offset, size, stamp, cost_us]``; pre-cost four-element
 records still parse, as cost 0) so the LRU/size cap can evict cold
@@ -78,12 +77,20 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import struct
 import time
-import zlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
+from repro.persist.frame import (
+    PREAMBLE,
+    FrameError,
+    load_json,
+    pack_body_rows,
+    pack_sectioned,
+    unpack_body_rows,
+    unpack_sectioned,
+    verify,
+)
 from repro.persist.sidecar import (
     CompiledBodyStore,
     SIDECAR_NAME,
@@ -94,10 +101,6 @@ from repro.persist.storage import FileStorage, TMP_SUFFIX
 
 MAGIC = b"PCSS"
 FORMAT_VERSION = 1
-
-#: Same preamble shape as PCS1/PCC2: magic, version, reserved, header
-#: length, header CRC.
-PREAMBLE = struct.Struct("<4sHHII")
 
 #: Hex characters of the digest that name a shard.  Two characters give
 #: up to 256 lazily created shards per keytag — enough that concurrent
@@ -115,20 +118,9 @@ LOCK_SUFFIX = ".lock"
 SECTIONS = ("header", "directory", "body_pool")
 
 
-class SharedStoreError(Exception):
-    """Raised when a shard (or registry) file is malformed.
-
-    ``section`` names where the damage was detected: one of
-    :data:`SECTIONS`, ``"preamble"`` or ``"trailer"``.
-    """
-
-    def __init__(self, message: str, section: str = ""):
-        super().__init__(message)
-        self.section = section
-
-
-def _crc(blob: bytes) -> int:
-    return zlib.crc32(blob) & 0xFFFFFFFF
+class SharedStoreError(FrameError):
+    """Raised when a shard file is malformed; ``section`` is one of
+    :data:`SECTIONS`, ``"preamble"`` or ``"trailer"``."""
 
 
 def store_keytag(vm_version: str, host_tag: Optional[str] = None) -> str:
@@ -171,39 +163,16 @@ def pack_shard(
     """Serialize one shard: ``{digest: (blob, stamp[, cost_us])}`` →
     framed bytes.  Two-tuple values (pre-cost callers/tests) pack with
     cost 0 — an unmeasured body is treated as free to recompute."""
-    pool = bytearray()
-    directory = []
-    for digest in sorted(entries):
-        record = entries[digest]
-        blob, stamp = record[0], record[1]
-        cost_us = int(record[2]) if len(record) > 2 else 0
-        directory.append(
-            [digest, len(pool), len(blob), int(stamp), cost_us]
-        )
-        pool.extend(blob)
-    directory_blob = json.dumps(directory, sort_keys=True).encode()
-    pool_blob = bytes(pool)
+    directory, pool = pack_body_rows(entries)
     header = {
         "format_version": FORMAT_VERSION,
         "vm_version": vm_version,
         "host_tag": host_tag,
-        "sections": {
-            "directory": [len(directory_blob), _crc(directory_blob)],
-            "body_pool": [len(pool_blob), _crc(pool_blob)],
-        },
     }
-    header_blob = json.dumps(header, sort_keys=True).encode()
-    body = b"".join(
-        [
-            PREAMBLE.pack(
-                MAGIC, FORMAT_VERSION, 0, len(header_blob), _crc(header_blob)
-            ),
-            header_blob,
-            directory_blob,
-            pool_blob,
-        ]
-    )
-    return body + struct.pack("<I", _crc(body))
+    return pack_sectioned(MAGIC, FORMAT_VERSION, 0, header, [
+        ("directory", json.dumps(directory, sort_keys=True).encode()),
+        ("body_pool", pool),
+    ])
 
 
 def parse_shard(blob: bytes):
@@ -211,122 +180,30 @@ def parse_shard(blob: bytes):
 
     ``entries`` maps digest → ``(blob, stamp, cost_us)``; four-element
     directory records (written before compile costs were tracked) parse
-    with cost 0.  Raises
-    :class:`SharedStoreError` naming the damaged section on any CRC,
-    framing or type mismatch — exactly one detectable section per flipped
-    byte, mirroring the PCS1 parser.
+    with cost 0.  Raises :class:`SharedStoreError` naming the damaged
+    section on any CRC, framing or type mismatch.
     """
-    if len(blob) < PREAMBLE.size + 4:
-        raise SharedStoreError("file too short for preamble", section="preamble")
-    magic, version, _reserved, header_len, header_crc = PREAMBLE.unpack_from(
-        blob, 0
+    _flags, header, payloads = unpack_sectioned(
+        blob, MAGIC, FORMAT_VERSION, SECTIONS[1:], SharedStoreError
     )
-    if magic != MAGIC:
-        raise SharedStoreError("bad magic", section="preamble")
-    if version != FORMAT_VERSION:
+    vm_version = header.get("vm_version")
+    host_tag = header.get("host_tag")
+    if not isinstance(vm_version, str) or not isinstance(host_tag, str):
         raise SharedStoreError(
-            "unsupported format version %r" % version, section="header"
+            "malformed header fields: key stamps must be strings",
+            section="header",
         )
-    header_start = PREAMBLE.size
-    header_end = header_start + header_len
-    if header_end + 4 > len(blob):
-        raise SharedStoreError("truncated header", section="header")
-    header_blob = blob[header_start:header_end]
-    if _crc(header_blob) != header_crc:
-        raise SharedStoreError("header checksum mismatch", section="header")
-    try:
-        header = json.loads(header_blob)
-    except ValueError as exc:
-        raise SharedStoreError("bad header JSON", section="header") from exc
-    if not isinstance(header, dict):
-        raise SharedStoreError("bad header JSON", section="header")
-    sections = header.get("sections")
-    if not isinstance(sections, dict):
-        raise SharedStoreError("missing section table", section="header")
-
-    offset = header_end
-    payloads: Dict[str, bytes] = {}
-    for name in ("directory", "body_pool"):
-        try:
-            size, crc = sections[name]
-            size = int(size)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SharedStoreError(
-                "bad section table entry for %s" % name, section="header"
-            ) from exc
-        if size < 0 or offset + size + 4 > len(blob):
-            raise SharedStoreError("truncated %s section" % name, section=name)
-        payload = blob[offset : offset + size]
-        if _crc(payload) != crc:
-            raise SharedStoreError("%s checksum mismatch" % name, section=name)
-        payloads[name] = payload
-        offset += size
-    if offset != len(blob) - 4:
-        raise SharedStoreError(
-            "trailing garbage after body pool", section="trailer"
-        )
-    (file_crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
-    if _crc(blob[:-4]) != file_crc:
-        raise SharedStoreError("whole-file checksum mismatch", section="trailer")
-
-    try:
-        vm_version = header["vm_version"]
-        host_tag = header["host_tag"]
-        if not isinstance(vm_version, str) or not isinstance(host_tag, str):
-            raise TypeError("key stamps must be strings")
-    except (KeyError, TypeError) as exc:
-        raise SharedStoreError(
-            "malformed header fields: %s" % exc, section="header"
-        ) from exc
-    try:
-        directory = json.loads(payloads["directory"])
-    except ValueError as exc:
-        raise SharedStoreError("bad directory JSON", section="directory") from exc
-    if not isinstance(directory, list):
-        raise SharedStoreError("bad directory JSON", section="directory")
-    pool = payloads["body_pool"]
-    entries: Dict[str, Tuple[bytes, int, int]] = {}
-    try:
-        for record in directory:
-            if len(record) == 4:
-                digest, rec_offset, size, stamp = record
-                cost_us = 0
-            else:
-                digest, rec_offset, size, stamp, cost_us = record
-            if (
-                not isinstance(digest, str)
-                or rec_offset < 0
-                or size < 0
-                or rec_offset + size > len(pool)
-            ):
-                raise SharedStoreError(
-                    "directory record out of bounds", section="directory"
-                )
-            entries[digest] = (
-                pool[rec_offset : rec_offset + size],
-                int(stamp),
-                int(cost_us),
-            )
-    except SharedStoreError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise SharedStoreError(
-            "malformed directory: %s" % exc, section="directory"
-        ) from exc
+    directory = load_json(payloads["directory"], "directory", list,
+                          SharedStoreError)
+    entries = unpack_body_rows(directory, payloads["body_pool"], "directory",
+                               SharedStoreError)
     return vm_version, host_tag, entries
 
 
 def verify_shard(blob: bytes) -> Dict[str, str]:
-    """Best-effort per-section damage map of a raw shard blob (fsck).
-
-    Empty when healthy; otherwise ``{section: reason}``.
-    """
-    status: Dict[str, str] = {}
-    try:
-        parse_shard(blob)
-    except SharedStoreError as exc:
-        status[exc.section or "preamble"] = str(exc)
-    return status
+    """Per-section damage map of a raw shard blob (fsck); empty when
+    healthy."""
+    return verify(parse_shard, blob)
 
 
 # -- reports ------------------------------------------------------------------
@@ -537,19 +414,11 @@ class SharedBodyStore:
 
     def _quarantine(self, path: str, reason: str) -> None:
         """Move a damaged file aside — never delete possible evidence."""
-        quarantine_dir = os.path.join(self.directory, QUARANTINE_DIR)
         name = os.path.relpath(path, self.directory).replace(os.sep, "-")
         try:
-            self.storage.makedirs(quarantine_dir)
-            destination = os.path.join(quarantine_dir, name)
-            serial = 0
-            while self.storage.exists(destination):
-                serial += 1
-                destination = os.path.join(
-                    quarantine_dir, "%s.%d" % (name, serial)
-                )
-            if self.storage.exists(path):
-                self.storage.rename(path, destination)
+            self.storage.move_aside(
+                path, os.path.join(self.directory, QUARANTINE_DIR, name)
+            )
         except OSError as exc:
             reason = "%s (quarantine move failed: %s)" % (reason, exc)
         self.events.append(("quarantine", name, reason))

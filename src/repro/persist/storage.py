@@ -113,6 +113,18 @@ class FileStorage:
     def makedirs(self, path: str) -> None:
         os.makedirs(path, exist_ok=True)
 
+    def move_aside(self, src: str, dst: str) -> None:
+        """Move ``src`` (if present) to ``dst``, or to the first free
+        ``dst.N`` — quarantine never overwrites earlier evidence."""
+        self.makedirs(os.path.dirname(dst))
+        destination = dst
+        serial = 0
+        while self.exists(destination):
+            serial += 1
+            destination = "%s.%d" % (dst, serial)
+        if self.exists(src):
+            self.rename(src, destination)
+
     def file_size(self, path: str) -> int:
         return os.path.getsize(path)
 

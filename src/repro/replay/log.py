@@ -34,36 +34,30 @@ replay can be diffed against it without rerunning the original build:
   ``ic_stats``, ``link_stats``, ``queue_stats``) is deliberately
   excluded.
 
-File framing follows the PCC2/PCS1 discipline exactly (same preamble
-shape, per-section CRCs, whole-file trailer CRC, atomic write-replace
-through the storage seam)::
-
-    offset  size  field
-    0       4     magic "PCRL"
-    4       2     u16 format_version (1)
-    6       2     u16 reserved (0)
-    8       4     u32 header_len
-    12      4     u32 CRC-32 of the header JSON
-    16      n     header JSON (meta + section table)
-    16+n    e     events JSON
-    ...     b     baseline JSON
-    end-4   4     u32 CRC-32 of bytes [0, end-4)
+Files use the sectioned-CRC frame of PCC2/PCS1
+(:mod:`repro.persist.frame`, written by atomic write-replace through the
+storage seam): magic ``PCRL``, version 1, no feature flags, header key
+``meta``, and two JSON sections, ``events`` then ``baseline``.
 """
 
 from __future__ import annotations
 
 import base64
 import json
-import struct
-import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.persist.frame import (
+    PREAMBLE,
+    FrameError,
+    load_json,
+    pack_sectioned,
+    unpack_sectioned,
+    verify,
+)
+
 MAGIC = b"PCRL"
 FORMAT_VERSION = 1
-
-#: Same preamble shape as PCC v2 / PCS1.
-PREAMBLE = struct.Struct("<4sHHII")
 
 #: Section names used in error attribution and fsck reports.
 SECTIONS = ("header", "events", "baseline")
@@ -72,20 +66,9 @@ SECTIONS = ("header", "events", "baseline")
 REPLAY_LOG_SUFFIX = ".pcrl"
 
 
-class ReplayLogError(Exception):
-    """Raised when a replay-log file is malformed.
-
-    ``section`` names where the damage was detected: one of
-    :data:`SECTIONS`, ``"preamble"`` or ``"trailer"``.
-    """
-
-    def __init__(self, message: str, section: str = ""):
-        super().__init__(message)
-        self.section = section
-
-
-def _crc(blob: bytes) -> int:
-    return zlib.crc32(blob) & 0xFFFFFFFF
+class ReplayLogError(FrameError):
+    """Raised when a replay-log file is malformed; ``section`` is one of
+    :data:`SECTIONS`, ``"preamble"`` or ``"trailer"``."""
 
 
 def _canonical(value):
@@ -191,111 +174,31 @@ class ReplayLog:
     baseline: Optional[Dict[str, object]] = None
 
     def to_bytes(self) -> bytes:
-        events_blob = json.dumps(self.events, sort_keys=True).encode()
-        baseline_blob = json.dumps(
-            self.baseline if self.baseline is not None else None,
-            sort_keys=True,
-        ).encode()
-        header = {
-            "format_version": FORMAT_VERSION,
-            "meta": _canonical(self.meta),
-            "sections": {
-                "events": [len(events_blob), _crc(events_blob)],
-                "baseline": [len(baseline_blob), _crc(baseline_blob)],
-            },
-        }
-        header_blob = json.dumps(header, sort_keys=True).encode()
-        body = b"".join(
-            [
-                PREAMBLE.pack(
-                    MAGIC, FORMAT_VERSION, 0, len(header_blob),
-                    _crc(header_blob),
-                ),
-                header_blob,
-                events_blob,
-                baseline_blob,
-            ]
-        )
-        return body + struct.pack("<I", _crc(body))
+        header = {"format_version": FORMAT_VERSION,
+                  "meta": _canonical(self.meta)}
+        return pack_sectioned(MAGIC, FORMAT_VERSION, 0, header, [
+            ("events", json.dumps(self.events, sort_keys=True).encode()),
+            ("baseline", json.dumps(self.baseline, sort_keys=True).encode()),
+        ])
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "ReplayLog":
-        header, events_blob, baseline_blob = _parse_frame(blob)
-        try:
-            events = json.loads(events_blob)
-            if not isinstance(events, list) or not all(
-                isinstance(event, list) and event for event in events
-            ):
-                raise ReplayLogError(
-                    "events section is not a list of records",
-                    section="events",
-                )
-        except ValueError as exc:
+        _flags, header, payloads = unpack_sectioned(
+            blob, MAGIC, FORMAT_VERSION, SECTIONS[1:], ReplayLogError
+        )
+        events = load_json(payloads["events"], "events", list, ReplayLogError)
+        if not all(isinstance(event, list) and event for event in events):
             raise ReplayLogError(
-                "malformed events JSON: %s" % exc, section="events"
-            ) from exc
-        try:
-            baseline = json.loads(baseline_blob)
-        except ValueError as exc:
-            raise ReplayLogError(
-                "malformed baseline JSON: %s" % exc, section="baseline"
-            ) from exc
+                "events section is not a list of records", section="events"
+            )
+        baseline = load_json(payloads["baseline"], "baseline", object,
+                             ReplayLogError)
         meta = header.get("meta")
         if not isinstance(meta, dict):
             raise ReplayLogError("header meta is not a dict", section="header")
         return cls(meta=meta, events=events, baseline=baseline)
 
 
-def _parse_frame(blob: bytes):
-    """Validate framing and CRCs; return (header, events, baseline) blobs."""
-    if len(blob) < PREAMBLE.size + 4:
-        raise ReplayLogError("file shorter than preamble", section="preamble")
-    trailer = struct.unpack("<I", blob[-4:])[0]
-    if _crc(blob[:-4]) != trailer:
-        raise ReplayLogError("trailer CRC mismatch", section="trailer")
-    magic, version, _reserved, header_len, header_crc = PREAMBLE.unpack(
-        blob[: PREAMBLE.size]
-    )
-    if magic != MAGIC:
-        raise ReplayLogError("bad magic %r" % magic, section="preamble")
-    if version != FORMAT_VERSION:
-        raise ReplayLogError(
-            "unsupported format version %d" % version, section="preamble"
-        )
-    header_end = PREAMBLE.size + header_len
-    if header_end + 4 > len(blob):
-        raise ReplayLogError("truncated header", section="header")
-    header_blob = blob[PREAMBLE.size : header_end]
-    if _crc(header_blob) != header_crc:
-        raise ReplayLogError("header CRC mismatch", section="header")
-    try:
-        header = json.loads(header_blob)
-        sections = header["sections"]
-        events_len, events_crc = sections["events"]
-        baseline_len, baseline_crc = sections["baseline"]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ReplayLogError(
-            "malformed header: %s" % exc, section="header"
-        ) from exc
-    events_end = header_end + events_len
-    baseline_end = events_end + baseline_len
-    if baseline_end + 4 != len(blob):
-        raise ReplayLogError(
-            "section table does not cover the file", section="header"
-        )
-    events_blob = blob[header_end:events_end]
-    if _crc(events_blob) != events_crc:
-        raise ReplayLogError("events CRC mismatch", section="events")
-    baseline_blob = blob[events_end:baseline_end]
-    if _crc(baseline_blob) != baseline_crc:
-        raise ReplayLogError("baseline CRC mismatch", section="baseline")
-    return header, events_blob, baseline_blob
-
-
 def verify_replay_log(blob: bytes) -> Dict[str, str]:
     """Section-attributed damage map for fsck: empty when healthy."""
-    try:
-        ReplayLog.from_bytes(blob)
-    except ReplayLogError as exc:
-        return {exc.section or "unknown": str(exc)}
-    return {}
+    return verify(ReplayLog.from_bytes, blob)

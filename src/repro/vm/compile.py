@@ -212,11 +212,6 @@ class _NullCodeCache:
         return None
 
 
-def code_object_cache_size() -> int:
-    """Number of memoized closure factories (introspection/tests)."""
-    return len(_FACTORIES)
-
-
 def clear_code_object_cache() -> None:
     """Drop every memoized factory (tests/benchmark hygiene)."""
     _FACTORIES.clear()

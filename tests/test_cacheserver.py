@@ -10,6 +10,7 @@ host compiles — must now hold over the socket.
 
 from __future__ import annotations
 
+import itertools
 import os
 
 import pytest
@@ -54,6 +55,22 @@ class FakeClock:
 
     def __call__(self) -> float:
         return float(self.now)
+
+
+class SteppingClock:
+    """Advances one second per reading (thread-safe under the GIL).
+
+    A stamp refresh is counted only when the publish second differs from
+    the stored stamp, so under the wall clock the refresh counts depend
+    on where second boundaries happen to fall.  With every reading a new
+    second, every refresh of an earlier stamp counts, in every mode.
+    """
+
+    def __init__(self, now: int = 1_000):
+        self._ticks = itertools.count(now)
+
+    def __call__(self) -> float:
+        return float(next(self._ticks))
 
 
 def run_session(workload, input_name, db_dir, shared=None, readonly=False):
@@ -139,18 +156,21 @@ class TestDifferential:
         reports = {}
         for mode in ("file", "daemon"):
             store_dir = str(tmp_path / ("store-" + mode))
+            clock = SteppingClock()
             server = None
             if mode == "daemon":
-                server = CacheServer(store_dir, vm_version=VM_VERSION)
+                server = CacheServer(store_dir, vm_version=VM_VERSION,
+                                     clock=clock)
                 server.start()
             try:
                 def attach():
                     if mode == "daemon":
-                        store = DaemonBackedStore(store_dir, VM_VERSION)
+                        store = DaemonBackedStore(store_dir, VM_VERSION,
+                                                  clock=clock)
                         assert store.transport == "daemon"
                         return store
-                    return SharedBodyStore(store_dir,
-                                           vm_version=VM_VERSION)
+                    return SharedBodyStore(store_dir, vm_version=VM_VERSION,
+                                           clock=clock)
 
                 runs = []
                 donor_db = str(tmp_path / ("donor-" + mode))
