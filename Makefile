@@ -90,6 +90,10 @@ daemon-smoke:
 	$(PYTHON) -m repro.cli cache serve $(DSSTORE) --stop
 	$(PYTHON) -m repro.cli cache fsck $(DSSTORE)
 
+# Transparency-smoke result file, kept outside the committed
+# BENCH_wallclock.json (override: make transparency-smoke TBENCH=...)
+TBENCH ?= /tmp/pcc-bench-transparency.json
+
 # Transparency smoke (docs/architecture.md "Transparency guarantees"):
 # the anti-instrumentation differential suite plus the transparency
 # bench family's --check gate — every dispatch tier bit-identical to
@@ -99,7 +103,7 @@ daemon-smoke:
 transparency-smoke:
 	$(PYTHON) -m pytest -q tests/test_adversarial.py tests/test_smc.py
 	$(PYTHON) -m repro.cli bench --family transparency --check \
-		--warmup 1 --reps 2 --out /tmp/pcc-bench-transparency.json
+		--warmup 1 --reps 2 --out $(TBENCH)
 
 # Shared per-host body store directory for `make gc` (override: make gc STORE=...)
 STORE ?= /tmp/pcc-shared-store

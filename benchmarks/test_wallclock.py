@@ -23,6 +23,7 @@ from repro.bench import (
     GATE_THRESHOLD_X,
     GATE_WORKLOAD,
     default_output_path,
+    render,
     run_wallclock,
 )
 
@@ -36,75 +37,7 @@ def test_wallclock_dispatch_tiers(record, tmp_path_factory):
         scratch_dir=scratch, warmup=2, reps=5, out_path=out_path
     )
 
-    rows = []
-    for name, family in sorted(results["workloads"].items()):
-        if "isolated_s" in family:
-            rows.append(
-                "%-18s isolated %.3fs  shared %.3fs  speedup %.2fx  "
-                "host compiles %d/%d  identical=%s"
-                % (name, family["isolated_s"], family["shared_s"],
-                   family["speedup_x"], family["host_compiles_isolated"],
-                   family["host_compiles_shared"],
-                   family["identical_results"])
-            )
-        elif "nolink_s" in family:
-            rows.append(
-                "%-18s nolink %.3fs  linked %.3fs  speedup %.2fx "
-                "(trimmed)  bounces %d  regions %d  identical=%s"
-                % (name, family["nolink_s"], family["linked_s"],
-                   family["speedup_trimmed_x"], family["link_bounces"],
-                   family["regions_fused"], family["identical_results"])
-            )
-        elif "sync_s" in family:
-            rows.append(
-                "%-18s sync %.3fs  background %.3fs  ttfo %.3f/%.3fs "
-                "(%.2fx)  warm compiles %d  identical=%s"
-                % (name, family["sync_s"], family["background_s"],
-                   family["sync_ttfo_s"], family["background_ttfo_s"],
-                   family["ttfo_ratio_x"],
-                   family["prewarm_warm_host_compiles"],
-                   family["identical_results"])
-            )
-        elif "flock_s" in family:
-            rows.append(
-                "%-18s flock %.3fs  daemon %.3fs  %d procs  "
-                "host compiles %d/%d  lookup p50 %.1f/%.1fus  "
-                "fallback=%s  identical=%s"
-                % (name, family["flock_s"], family["daemon_s"],
-                   family["fleet_processes"],
-                   family["fleet_host_compiles_flock"],
-                   family["fleet_host_compiles_daemon"],
-                   family["flock_lookup_p50_us"],
-                   family["daemon_lookup_p50_us"],
-                   family["fallback_ok"], family["identical_results"])
-            )
-        elif "plain_s" in family:
-            rows.append(
-                "%-18s plain %.3fs  record %.3fs  overhead %.1f%%  "
-                "identical=%s"
-                % (name, family["plain_s"], family["record_s"],
-                   100.0 * (family["record_s"] / family["plain_s"] - 1.0),
-                   family["identical_results"])
-            )
-        elif "interpreted_s" in family:
-            rows.append(
-                "%-18s interpreted %.3fs  compiled %.3fs  speedup %.2fx  "
-                "spread %.0f%%/%.0f%%  identical=%s"
-                % (name, family["interpreted_s"], family["compiled_s"],
-                   family["speedup_x"], family["interpreted_spread_pct"],
-                   family["compiled_spread_pct"],
-                   family["identical_results"])
-            )
-        else:
-            rows.append(
-                "%-18s cold %.3fs  warm %.3fs  speedup %.2fx  "
-                "host compiles %d/%d  identical=%s"
-                % (name, family["cold_s"], family["warm_s"],
-                   family["speedup_x"], family["host_compiles_cold"],
-                   family["host_compiles_warm"],
-                   family["identical_results"])
-            )
-    record("wallclock_dispatch", "\n".join(rows))
+    record("wallclock_dispatch", "\n".join(render(results["workloads"])))
 
     # Both modes must agree bit-for-bit on every family before any
     # speedup is meaningful.

@@ -821,17 +821,19 @@ class SharedBodyStore:
                         SharedFsckItem(rel, "corrupt", detail=str(exc))
                     )
                     continue
-                damage = verify_shard(blob)
-                if damage:
-                    for section, reason in sorted(damage.items()):
-                        report.items.append(
-                            SharedFsckItem(rel, "corrupt", section, reason)
-                        )
+                try:
+                    vm_version, host_tag, _entries = parse_shard(blob)
+                except SharedStoreError as exc:
+                    section = exc.section or "preamble"
+                    report.items.append(
+                        SharedFsckItem(rel, "corrupt", section, str(exc))
+                    )
                     if quarantine:
-                        self._quarantine(path, "fsck: %s" % damage)
+                        self._quarantine(
+                            path, "fsck: %s" % {section: str(exc)}
+                        )
                         report.quarantined.append(rel)
                     continue
-                vm_version, host_tag, _entries = parse_shard(blob)
                 if vm_version != self.vm_version or host_tag != self.host_tag:
                     report.items.append(
                         SharedFsckItem(
